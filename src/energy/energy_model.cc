@@ -14,6 +14,33 @@ EnergyModel::EnergyModel(EnergyParams params, nvm::SttModel stt)
     }
     base_nj_ = params_.cycle_energy_nj * params_.base_fraction;
     datapath_nj_ = params_.cycle_energy_nj * (1.0 - params_.base_fraction);
+
+    // instructionEnergyNj runs once per simulated instruction; resolve
+    // its op and policy lookups here. Each entry is the same double the
+    // per-call expression used to form, so results are bit-identical.
+    for (std::size_t i = 0; i < op_cost_.size(); ++i) {
+        const auto op = static_cast<isa::Op>(i);
+        const isa::OpClass cls = isa::opClass(op);
+        double dp_factor = 1.0;
+        if (cls == isa::OpClass::mul)
+            dp_factor = params_.mul_factor;
+        else if (cls == isa::OpClass::div)
+            dp_factor = params_.div_factor;
+        OpCost &cost = op_cost_[i];
+        cost.datapath_nj = datapath_nj_ * dp_factor;
+        cost.cycles = isa::opCycles(op);
+        if (cls == isa::OpClass::load)
+            cost.access = Access::load;
+        else if (cls == isa::OpClass::store)
+            cost.access = Access::store;
+    }
+    // Store energy is discounted by the retention policy's write-energy
+    // saving (approximate backup writes cost less).
+    for (std::size_t p = 0; p < kNumPolicies; ++p) {
+        const double saving =
+            table_.wordSaving(static_cast<nvm::RetentionPolicy>(p));
+        store_extra_nj_[p] = params_.store_extra_nj * (1.0 - saving);
+    }
 }
 
 double
@@ -25,29 +52,24 @@ EnergyModel::instructionEnergyNj(isa::Op op, int main_bits,
         util::panic("instructionEnergyNj: main_bits out of range %d",
                     main_bits);
 
-    const isa::OpClass cls = isa::opClass(op);
-    double dp_factor = 1.0;
-    if (cls == isa::OpClass::mul)
-        dp_factor = params_.mul_factor;
-    else if (cls == isa::OpClass::div)
-        dp_factor = params_.div_factor;
+    const auto idx = static_cast<std::size_t>(op);
+    if (idx >= op_cost_.size())
+        util::panic("instructionEnergyNj: invalid opcode %zu", idx);
+    const OpCost &cost = op_cost_[idx];
 
     // Per-cycle energy: shared base + width-scaled datapath per lane.
     const double width_scale =
         (static_cast<double>(main_bits) +
          params_.lane_share * static_cast<double>(lane_bits_sum)) / 8.0;
-    const double per_cycle = base_nj_ + datapath_nj_ * dp_factor *
-                                            width_scale;
-    double energy = per_cycle * isa::opCycles(op);
+    const double per_cycle = base_nj_ + cost.datapath_nj * width_scale;
+    double energy = per_cycle * cost.cycles;
 
-    // NVM access adders. Store energy is discounted by the retention
-    // policy's write-energy saving (approximate backup writes cost less).
-    if (cls == isa::OpClass::load) {
+    // NVM access adders.
+    if (cost.access == Access::load)
         energy += params_.load_extra_nj;
-    } else if (cls == isa::OpClass::store) {
-        const double saving = table_.wordSaving(store_policy);
-        energy += params_.store_extra_nj * (1.0 - saving);
-    }
+    else if (cost.access == Access::store)
+        energy +=
+            store_extra_nj_[static_cast<std::size_t>(store_policy)];
     return energy;
 }
 

@@ -20,6 +20,10 @@
 #ifndef INC_ENERGY_ENERGY_MODEL_H
 #define INC_ENERGY_ENERGY_MODEL_H
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+
 #include "isa/isa.h"
 #include "nvm/retention_policy.h"
 
@@ -127,10 +131,33 @@ class EnergyModel
     double assembleEnergyNj(int bytes) const;
 
   private:
+    /** NVM access adder an op pays on top of its cycles. */
+    enum class Access : std::uint8_t
+    {
+        none,
+        load,
+        store
+    };
+
+    /** The op-dependent terms of instructionEnergyNj, resolved once. */
+    struct OpCost
+    {
+        double datapath_nj = 0.0; ///< datapath_nj_ x mul/div factor
+        double cycles = 0.0;
+        Access access = Access::none;
+    };
+
+    static constexpr std::size_t kNumPolicies =
+        static_cast<std::size_t>(nvm::RetentionPolicy::parabola) + 1;
+
     EnergyParams params_;
     nvm::RetentionEnergyTable table_;
     double base_nj_;
     double datapath_nj_;
+    std::array<OpCost, static_cast<std::size_t>(isa::Op::num_ops)>
+        op_cost_;
+    /** store_extra_nj discounted by each policy's word saving. */
+    std::array<double, kNumPolicies> store_extra_nj_;
 };
 
 } // namespace inc::energy

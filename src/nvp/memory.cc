@@ -1,7 +1,9 @@
 #include "nvp/memory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
 #include "arena/backend.h"
 #include "util/bit_ops.h"
@@ -284,10 +286,51 @@ DataMemory::precisionAt(std::uint32_t addr) const
     return main_prec_[addr];
 }
 
+namespace
+{
+
+/** One set bit in every byte lane: bit plane 0 of an 8-byte word. */
+constexpr std::uint64_t kByteLsbs = 0x0101010101010101ULL;
+
+/** Little-endian 8-byte load/store: byte i of memory is bits
+ *  [8i, 8i+8) of the word on any host. */
+std::uint64_t
+load64le(const std::uint8_t *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    return v;
+}
+
+void
+store64le(std::uint8_t *p, std::uint64_t v)
+{
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    std::memcpy(p, &v, sizeof v);
+}
+
+/** popcount(word & (kByteLsbs << plane)): the plane's bits, shifted to
+ *  the byte LSBs and summed into the top byte by one multiply (at most
+ *  8, so no lane carries). */
+std::uint64_t
+planeCount(std::uint64_t word, int plane)
+{
+    return (((word >> plane) & kByteLsbs) * kByteLsbs) >> 56;
+}
+
+} // namespace
+
 void
 DataMemory::applyOutageDecay(double duration_tenth_ms)
 {
     INC_OBS_COUNT(obs_, decay_passes);
+    // Local copies: byte stores into main_ may alias any member, which
+    // would pin the generator state and counters to memory.
+    util::Rng rng = rng_;
+    std::array<std::uint64_t, 8> flips{};
     for (const AcRegion &region : ac_regions_) {
         if (region.policy == nvm::RetentionPolicy::full)
             continue;
@@ -299,26 +342,55 @@ DataMemory::applyOutageDecay(double duration_tenth_ms)
         for (int b = 1; b <= cutoff; ++b)
             ++failures_.violations[static_cast<size_t>(b - 1)];
 
+        // Each byte's expired low bits take the low bits of one fresh
+        // draw, in address order (pinned digests depend on that
+        // stream). Eight bytes per step: the draws' low bytes form one
+        // word, so the flip mask and the per-bit flip counts are word
+        // operations; the tail goes bytewise.
         const auto mask =
             static_cast<std::uint8_t>(util::lowMask(
                 static_cast<unsigned>(cutoff)));
-        for (std::uint32_t addr = region.start;
-             addr < region.start + region.length; ++addr) {
+        const std::uint64_t word_mask = kByteLsbs * mask;
+        const std::uint32_t end = region.start + region.length;
+        std::uint32_t addr = region.start;
+        for (; end - addr >= 8; addr += 8) {
+            std::uint64_t rnd = 0;
+#pragma GCC unroll 8
+            for (int i = 0; i < 8; ++i)
+                rnd |= (rng.next() & 0xFFu) << (8 * i);
+            const std::uint64_t old = load64le(main_ + addr);
+            const std::uint64_t diff = (old ^ rnd) & word_mask;
+            if (!diff)
+                continue;
+            for (int b = 0; b < cutoff; ++b)
+                flips[static_cast<size_t>(b)] += planeCount(diff, b);
+            store64le(main_ + addr, old ^ diff);
+            if (!dirty_.empty()) {
+                for (std::uint32_t i = 0; i < 8; ++i) {
+                    if ((diff >> (8 * i)) & 0xFFu)
+                        markDirty(addr + i);
+                }
+            }
+        }
+        for (; addr < end; ++addr) {
             const std::uint8_t old = main_[addr];
-            const auto rnd = static_cast<std::uint8_t>(rng_.next());
+            const auto rnd = static_cast<std::uint8_t>(rng.next());
             const std::uint8_t neu =
                 static_cast<std::uint8_t>((old & ~mask) | (rnd & mask));
             const std::uint8_t diff = old ^ neu;
             if (diff) {
                 for (int b = 1; b <= cutoff; ++b) {
                     if (util::bit(diff, static_cast<unsigned>(b - 1)))
-                        ++failures_.flips[static_cast<size_t>(b - 1)];
+                        ++flips[static_cast<size_t>(b - 1)];
                 }
                 markDirty(addr);
                 main_[addr] = neu;
             }
         }
     }
+    rng_ = rng;
+    for (std::size_t b = 0; b < flips.size(); ++b)
+        failures_.flips[b] += flips[b];
 }
 
 void

@@ -1,7 +1,16 @@
 /**
  * @file
- * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — the checksum guarding
- * the persistence arena's log records and commit markers (src/arena).
+ * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum
+ * guarding checkpoint ImageStore images (src/sim) and the persistence
+ * arena's log records and commit markers (src/arena).
+ *
+ * Two implementations compute the same value. On x86 hosts whose CPU
+ * has PCLMULQDQ (checked once at run time), the 16-byte-multiple prefix
+ * of any buffer of at least 64 bytes is folded with carry-less
+ * multiplies; everything else — the remaining tail, short buffers and
+ * hosts without the instruction — goes through the portable
+ * slicing-by-8 loop. No build option or environment variable selects a
+ * path: the result is bit-identical either way.
  */
 
 #ifndef INC_UTIL_CRC32_H
@@ -27,6 +36,18 @@ crc32(const void *data, std::size_t length)
 {
     return crc32(0, data, length);
 }
+
+namespace detail
+{
+
+/**
+ * The slicing-by-8 path alone, same contract as crc32(). Exposed so the
+ * tests can check the dispatched path against it; not a switch.
+ */
+std::uint32_t crc32Portable(std::uint32_t crc, const void *data,
+                            std::size_t length);
+
+} // namespace detail
 
 } // namespace inc::util
 

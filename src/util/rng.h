@@ -28,8 +28,20 @@ class Rng
     /** Construct from a 64-bit seed (expanded via splitmix64). */
     explicit Rng(std::uint64_t seed = 0x1badb002dedf00dULL);
 
-    /** Next raw 64-bit value. */
-    std::uint64_t next();
+    /** Next raw 64-bit value. Inline: retention decay draws one per
+     *  approximable byte on every outage. */
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform in [0, bound) without modulo bias. bound must be > 0. */
     std::uint64_t nextBounded(std::uint64_t bound);
@@ -57,6 +69,11 @@ class Rng
     Rng split();
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     double cached_gaussian_ = 0.0;
     bool has_cached_gaussian_ = false;

@@ -50,12 +50,13 @@ expectNoUnderReport(const DataMemory &mem,
         0, static_cast<std::uint32_t>(mem.size()));
     ASSERT_EQ(after.size(), before.size());
     for (std::uint32_t addr = 0; addr < after.size(); ++addr) {
-        if (after[addr] != before[addr])
+        if (after[addr] != before[addr]) {
             ASSERT_TRUE(dirtyAt(mem, addr / kWord))
                 << "byte " << addr << " changed ("
                 << static_cast<int>(before[addr]) << " -> "
                 << static_cast<int>(after[addr])
                 << ") but word " << addr / kWord << " is clean";
+        }
     }
 }
 
@@ -67,11 +68,12 @@ expectBounded(const DataMemory &mem,
     const std::uint32_t words =
         static_cast<std::uint32_t>((mem.size() + kWord - 1) / kWord);
     for (std::uint32_t w = 0; w < words; ++w) {
-        if (dirtyAt(mem, w))
+        if (dirtyAt(mem, w)) {
             EXPECT_TRUE(addressed.count(w))
                 << "word " << w
                 << " dirty but no op addressed it (unbounded "
                    "over-report)";
+        }
     }
 }
 

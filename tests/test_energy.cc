@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "energy/capacitor.h"
 #include "energy/energy_model.h"
 
@@ -152,4 +154,83 @@ TEST(Capacitor, VoltageTracksSqrtOfCharge)
     Capacitor cap(p);
     EXPECT_NEAR(cap.voltage(), 1.0, 1e-9);
     EXPECT_NEAR(cap.fraction(), 0.25, 1e-12);
+}
+
+namespace
+{
+
+/** instructionEnergyNj as it was computed per call before the per-op
+ *  table, kept as the bitwise reference. */
+double
+referenceInstructionEnergyNj(const EnergyParams &params,
+                             const inc::nvm::RetentionEnergyTable &table,
+                             Op op, int main_bits, int lane_bits_sum,
+                             RetentionPolicy store_policy)
+{
+    const double base_nj = params.cycle_energy_nj * params.base_fraction;
+    const double datapath_nj =
+        params.cycle_energy_nj * (1.0 - params.base_fraction);
+    const inc::isa::OpClass cls = inc::isa::opClass(op);
+    double dp_factor = 1.0;
+    if (cls == inc::isa::OpClass::mul)
+        dp_factor = params.mul_factor;
+    else if (cls == inc::isa::OpClass::div)
+        dp_factor = params.div_factor;
+    const double width_scale =
+        (static_cast<double>(main_bits) +
+         params.lane_share * static_cast<double>(lane_bits_sum)) / 8.0;
+    const double per_cycle = base_nj + datapath_nj * dp_factor *
+                                           width_scale;
+    double energy = per_cycle * inc::isa::opCycles(op);
+    if (cls == inc::isa::OpClass::load) {
+        energy += params.load_extra_nj;
+    } else if (cls == inc::isa::OpClass::store) {
+        const double saving = table.wordSaving(store_policy);
+        energy += params.store_extra_nj * (1.0 - saving);
+    }
+    return energy;
+}
+
+} // namespace
+
+TEST(EnergyModel, PerOpTableIsBitwiseEqualToPerCallFormula)
+{
+    // Default and non-default parameters (odd factors, so no product
+    // happens to be exact).
+    EnergyParams odd;
+    odd.cycle_energy_nj = 0.1234567;
+    odd.base_fraction = 0.377;
+    odd.lane_share = 0.613;
+    odd.mul_factor = 1.3131;
+    odd.div_factor = 1.1717;
+    odd.load_extra_nj = 0.0411;
+    odd.store_extra_nj = 0.0833;
+    for (const EnergyParams &params : {EnergyParams{}, odd}) {
+        const EnergyModel model(params);
+        const inc::nvm::RetentionEnergyTable table;
+        int checked = 0;
+        for (int i = 0; i < static_cast<int>(Op::num_ops); ++i) {
+            const auto op = static_cast<Op>(i);
+            for (int bits = 1; bits <= 8; ++bits) {
+                for (int lanes = 0; lanes <= 24; ++lanes) {
+                    for (const RetentionPolicy p :
+                         {RetentionPolicy::full, RetentionPolicy::linear,
+                          RetentionPolicy::log,
+                          RetentionPolicy::parabola}) {
+                        const double got =
+                            model.instructionEnergyNj(op, bits, lanes, p);
+                        const double want = referenceInstructionEnergyNj(
+                            params, table, op, bits, lanes, p);
+                        ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                            << inc::isa::opName(op) << " bits " << bits
+                            << " lanes " << lanes << " policy "
+                            << static_cast<int>(p) << ": " << got
+                            << " vs " << want;
+                        ++checked;
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(checked, static_cast<int>(Op::num_ops) * 8 * 25 * 4);
+    }
 }

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <vector>
+
+#include "nvm/nvm_array.h"
 #include "nvp/memory.h"
+#include "util/bit_ops.h"
 
 using namespace inc::nvp;
 using inc::nvm::RetentionPolicy;
@@ -175,6 +181,141 @@ TEST(DataMemory, OutageDecayCountsAndCorrupts)
     DataMemory mem2 = makeMem();
     mem2.applyOutageDecay(0.05);
     EXPECT_EQ(mem2.failures().totalViolations(), 0u);
+}
+
+namespace
+{
+
+/**
+ * The bytewise decay loop DataMemory::applyOutageDecay ran before it
+ * went word-wide, kept as the reference: same draws, same counters,
+ * same dirty marks (one per changed byte, 4-byte words).
+ */
+struct ReferenceDecay
+{
+    std::vector<std::uint8_t> bytes;
+    inc::util::Rng rng;
+    inc::nvm::RetentionFailureCounts failures;
+    std::vector<std::uint64_t> dirty;
+
+    void apply(const std::vector<AcRegion> &regions, double duration)
+    {
+        for (const AcRegion &region : regions) {
+            if (region.policy == RetentionPolicy::full)
+                continue;
+            const int cutoff =
+                inc::nvm::NvmArray::expiredCutoff(region.policy, duration);
+            if (cutoff == 0)
+                continue;
+            for (int b = 1; b <= cutoff; ++b)
+                ++failures.violations[static_cast<size_t>(b - 1)];
+            const auto mask = static_cast<std::uint8_t>(
+                inc::util::lowMask(static_cast<unsigned>(cutoff)));
+            for (std::uint32_t addr = region.start;
+                 addr < region.start + region.length; ++addr) {
+                const std::uint8_t old = bytes[addr];
+                const auto rnd = static_cast<std::uint8_t>(rng.next());
+                const std::uint8_t neu = static_cast<std::uint8_t>(
+                    (old & ~mask) | (rnd & mask));
+                const std::uint8_t diff = old ^ neu;
+                if (diff) {
+                    for (int b = 1; b <= cutoff; ++b) {
+                        if (inc::util::bit(diff,
+                                           static_cast<unsigned>(b - 1)))
+                            ++failures.flips[static_cast<size_t>(b - 1)];
+                    }
+                    const std::uint32_t w =
+                        addr / DataMemory::kDirtyWordBytes;
+                    dirty[w >> 6] |= std::uint64_t{1} << (w & 63);
+                    bytes[addr] = neu;
+                }
+            }
+        }
+    }
+};
+
+} // namespace
+
+TEST(DataMemory, WordWideDecayMatchesBytewiseReference)
+{
+    constexpr std::uint32_t kSize = 1024;
+    const RetentionPolicy policies[] = {
+        RetentionPolicy::full, RetentionPolicy::linear,
+        RetentionPolicy::log, RetentionPolicy::parabola};
+    // Region lengths below 8, around and between multiples of 8.
+    const std::uint32_t lengths[] = {0,  1,  2,  3,  5,  7,  8,
+                                     9,  15, 16, 17, 31, 64, 133};
+    std::uint64_t seed = 1;
+    for (const RetentionPolicy policy : policies) {
+        // Outage lengths just past and well past each bit's retention,
+        // plus one that expires nothing.
+        std::vector<double> durations = {
+            0.5 * inc::nvm::retentionTenthMs(policy, 1)};
+        for (int b = 1; b <= 8; ++b) {
+            const double r = inc::nvm::retentionTenthMs(policy, b);
+            durations.push_back(r * 1.0001);
+            durations.push_back(r * 1.5);
+        }
+        std::set<int> cutoffs;
+        for (const double duration : durations) {
+            cutoffs.insert(
+                inc::nvm::NvmArray::expiredCutoff(policy, duration));
+            for (std::uint32_t offset = 0; offset < 8; ++offset) {
+                for (const std::uint32_t length : lengths) {
+                    ++seed;
+                    DataMemory mem(inc::util::Rng(seed), kSize);
+                    mem.enableDirtyTracking();
+                    std::vector<std::uint8_t> init(kSize);
+                    inc::util::Rng fill(seed * 7919);
+                    for (std::uint8_t &b : init)
+                        b = static_cast<std::uint8_t>(fill.next());
+                    mem.hostWriteBlock(0, init);
+                    mem.clearDirty();
+                    // Two regions, decayed in declaration order: the
+                    // case under test and a fixed 8-aligned one after.
+                    const std::vector<AcRegion> regions = {
+                        {64 + offset, length, policy},
+                        {512, 21, RetentionPolicy::linear}};
+                    for (const AcRegion &r : regions)
+                        mem.addAcRegion(r);
+
+                    ReferenceDecay ref{init, inc::util::Rng(seed), {},
+                                       mem.dirtyBits()};
+                    mem.applyOutageDecay(duration);
+                    ref.apply(regions, duration);
+
+                    SCOPED_TRACE(testing::Message()
+                                 << "policy " << static_cast<int>(policy)
+                                 << " duration " << duration << " offset "
+                                 << offset << " length " << length);
+                    ASSERT_EQ(mem.snapshot(0, kSize), ref.bytes);
+                    ASSERT_EQ(mem.failures().flips, ref.failures.flips);
+                    ASSERT_EQ(mem.failures().violations,
+                              ref.failures.violations);
+                    ASSERT_EQ(mem.dirtyBits(), ref.dirty);
+
+                    // The draw stream continues where the reference's
+                    // does: a 3-byte region with every bit expired
+                    // takes the low bytes of the next three draws.
+                    mem.clearRegions();
+                    mem.addAcRegion({900, 3, RetentionPolicy::linear});
+                    mem.applyOutageDecay(
+                        2.0 * inc::nvm::retentionTenthMs(
+                                  RetentionPolicy::linear, 8));
+                    for (std::uint32_t i = 0; i < 3; ++i) {
+                        ASSERT_EQ(mem.hostRead8(900 + i),
+                                  static_cast<std::uint8_t>(ref.rng.next()));
+                    }
+                }
+            }
+        }
+        if (policy != RetentionPolicy::full) {
+            for (int c = 1; c <= 8; ++c) {
+                EXPECT_TRUE(cutoffs.count(c))
+                    << "no outage length reaches cutoff " << c;
+            }
+        }
+    }
 }
 
 TEST(DataMemory, SnapshotAndCoverage)

@@ -183,12 +183,14 @@ TEST_P(StrategyConformance, CrashFreeRunMatchesActiveBaseline)
             << "dirty-word backup wrote more than the full image";
         EXPECT_LE(run.stats.words_written, run.stats.words_tracked);
     }
-    if (p.kind == sim::StrategyKind::ondemand)
+    if (p.kind == sim::StrategyKind::ondemand) {
         EXPECT_GE(run.stats.backup_bytes, active.stats.backup_bytes)
             << "extra watermark snapshots cannot shrink backup bytes";
-    if (p.kind == sim::StrategyKind::active)
+    }
+    if (p.kind == sim::StrategyKind::active) {
         EXPECT_EQ(run.stats.backup_bytes,
                   run.stats.backups * run.state_bytes);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

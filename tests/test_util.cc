@@ -1,10 +1,16 @@
-/** Unit tests for util: bit ops, stats, tables, CSV, images. */
+/** Unit tests for util: bit ops, CRC-32, stats, tables, CSV, images. */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "util/bit_ops.h"
+#include "util/crc32.h"
 #include "util/csv.h"
 #include "util/image.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -181,4 +187,70 @@ TEST(SceneGenerator, AllKindsProduceDistinctContent)
         EXPECT_GT(mean, 1.0);
         EXPECT_LT(mean, 254.0);
     }
+}
+
+TEST(Crc32, KnownAnswer)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(u::crc32(check, std::strlen(check)), 0xCBF43926u);
+    EXPECT_EQ(u::detail::crc32Portable(0, check, std::strlen(check)),
+              0xCBF43926u);
+    EXPECT_EQ(u::crc32(check, 0), 0u);
+}
+
+TEST(Crc32, ChainingEqualsOneShot)
+{
+    std::vector<std::uint8_t> buf(5000);
+    u::Rng rng(3);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    const std::uint32_t whole = u::crc32(buf.data(), buf.size());
+    // Split points on both sides of the 64-byte and 16-byte thresholds
+    // of the folding path.
+    for (std::size_t split : {0, 1, 15, 16, 63, 64, 65, 100, 4096, 4999,
+                              5000}) {
+        const std::uint32_t head = u::crc32(buf.data(), split);
+        EXPECT_EQ(u::crc32(head, buf.data() + split, buf.size() - split),
+                  whole)
+            << "split at " << split;
+    }
+}
+
+TEST(Crc32, DispatchedPathEqualsPortable)
+{
+    // Lengths 0..70000 (past the 64 KiB image size) at misalignments
+    // 0..63 with a fresh seed each. Short lengths, where the split into
+    // folded prefix and slicing-by-8 tail changes most, are checked at
+    // every misalignment; above 4 KiB the folding loop only repeats, so
+    // a stride of 61 (coprime to 64) still reaches every length mod 64.
+    constexpr std::size_t kMaxLen = 70000;
+    constexpr std::size_t kMisalign = 64;
+    std::vector<std::uint8_t> buf(kMaxLen + kMisalign);
+    u::Rng rng(11);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    int mismatches = 0;
+    auto check = [&](std::size_t len, std::size_t off) {
+        const auto seed = static_cast<std::uint32_t>(rng.next());
+        const std::uint8_t *p = buf.data() + off;
+        if (u::crc32(seed, p, len) !=
+                u::detail::crc32Portable(seed, p, len) &&
+            ++mismatches <= 10) {
+            ADD_FAILURE() << "length " << len << " misalignment " << off
+                          << " seed " << seed;
+        }
+    };
+    for (std::size_t len = 0; len <= 1024; ++len) {
+        for (std::size_t off = 0; off < kMisalign; ++off)
+            check(len, off);
+    }
+    for (std::size_t len = 1025; len <= 4096; ++len)
+        check(len, len % kMisalign);
+    for (std::size_t len = 4097; len <= kMaxLen; len += 61)
+        check(len, len % kMisalign);
+    for (std::size_t len : {65535, 65536, 65537, 69999, 70000}) {
+        for (std::size_t off = 0; off < kMisalign; ++off)
+            check(len, off);
+    }
+    EXPECT_EQ(mismatches, 0);
 }
