@@ -5,6 +5,7 @@
 #include <chrono>
 #include <csignal>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "arena/arena.h"
 #include "fleet/campaign.h"
 #include "fleet/folder.h"
 #include "fleet/protocol.h"
@@ -97,6 +99,9 @@ class Coordinator
     void checkHeartbeats();
     void shutdownFleet();
     WorkerProc *findWorker(long pid);
+    /** Jobs of the current shard plan already journaled in the shard
+     *  arenas a previous serve left under fleet_dir. */
+    std::size_t countJournaledJobs() const;
     bool allShardsCompleted() const
     {
         return completed_count_ == plan_.size();
@@ -122,6 +127,7 @@ class Coordinator
     std::vector<int> dispatch_count_;
     std::vector<bool> shard_completed_;
     std::size_t completed_count_ = 0;
+    std::size_t jobs_resumed_ = 0;
 
     std::vector<std::unique_ptr<Connection>> connections_;
     /** deque: spawnWorker() appends while references to existing
@@ -176,6 +182,14 @@ Coordinator::Coordinator(const ServeOptions &options)
     // results silently, so a mismatch is a hard error.
     const std::string marker = options_.fleet_dir + "/campaign.fp";
     const std::string existing = readFileOrEmpty(marker);
+    // Resuming is explicit, as for `sweep --arena`: replaying a
+    // previous serve's journals silently would report a no-op merge
+    // as the campaign's run.
+    if (!existing.empty() && !options_.resume)
+        util::fatal("fleet dir '%s' already holds a campaign "
+                    "(fingerprint %s); pass --resume to continue it or "
+                    "use a fresh directory",
+                    options_.fleet_dir.c_str(), existing.c_str());
     if (!existing.empty() && existing != fingerprint_)
         util::fatal("fleet dir '%s' holds journals for a different "
                     "campaign (fingerprint %s, this campaign is %s); "
@@ -188,11 +202,6 @@ Coordinator::Coordinator(const ServeOptions &options)
         out << fingerprint_;
         if (!out)
             util::fatal("cannot write '%s'", marker.c_str());
-    } else {
-        std::fprintf(stderr,
-                     "fleet: resuming campaign %s in '%s'\n",
-                     fingerprint_.c_str(),
-                     options_.fleet_dir.c_str());
     }
 
     socket_path_ = options_.socket_path.empty()
@@ -208,10 +217,45 @@ Coordinator::Coordinator(const ServeOptions &options)
     shard_completed_.assign(plan_.size(), false);
     for (const runner::ShardRange &shard : plan_)
         pending_.push_back(shard.id);
+    if (!existing.empty()) {
+        jobs_resumed_ = countJournaledJobs();
+        std::fprintf(stderr,
+                     "fleet: resuming campaign %s in '%s' (%zu of %zu "
+                     "jobs journaled)\n",
+                     fingerprint_.c_str(), options_.fleet_dir.c_str(),
+                     jobs_resumed_, jobs_.size());
+    }
     metrics_.gauge(obs::kFleetShardsPlanned).value =
         static_cast<double>(plan_.size());
 
     folder_ = std::make_unique<ResultFolder>(jobs_);
+}
+
+std::size_t
+Coordinator::countJournaledJobs() const
+{
+    // Read before any worker starts, so nothing else has the arenas
+    // open. An arena that cannot be opened counts nothing here; the
+    // worker assigned its shard reports the error.
+    std::size_t journaled = 0;
+    for (const runner::ShardRange &shard : plan_) {
+        const std::string dir =
+            options_.fleet_dir + "/shard-" + std::to_string(shard.id);
+        if (!std::filesystem::is_directory(dir))
+            continue;
+        try {
+            const std::unique_ptr<arena::Arena> store =
+                arena::Arena::open(dir);
+            const runner::SweepJournal journal(store.get());
+            if (!journal.bound() ||
+                journal.boundFingerprint() != fingerprint_)
+                continue;
+            for (std::size_t i = shard.begin; i < shard.end; ++i)
+                journaled += journal.completed(i) ? 1 : 0;
+        } catch (const std::exception &) {
+        }
+    }
+    return journaled;
 }
 
 WorkerProc *
@@ -914,6 +958,7 @@ Coordinator::run()
     metrics_.gauge(obs::kFleetWorkerWallMs).value = worker_wall_ms_;
     outcome.fleet_metrics = std::move(metrics_);
     outcome.fingerprint = fingerprint_;
+    outcome.jobs_resumed = jobs_resumed_;
     return outcome;
 }
 

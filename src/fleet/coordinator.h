@@ -58,6 +58,10 @@ struct ServeOptions
     std::string fleet_dir;
     /** Empty = <fleet_dir>/fleet.sock. */
     std::string socket_path;
+    /** Continue the campaign a previous serve left in fleet_dir.
+     *  Without it, a fleet dir that already holds a campaign is a
+     *  fatal error. */
+    bool resume = false;
     /** Path to the nvpsim binary to exec workers from
      *  (/proc/self/exe, resolved by the CLI). */
     std::string nvpsim_path;
@@ -87,11 +91,15 @@ struct FleetOutcome
     obs::MetricsRegistry fleet_metrics;
     /** The campaign fingerprint the fleet ran under. */
     std::string fingerprint;
+    /** Jobs a previous serve had already journaled into fleet_dir
+     *  (replayed, not recomputed); the rest were computed. */
+    std::size_t jobs_resumed = 0;
 };
 
 /**
  * Serve one campaign to completion. Fatal (clear message) on
- * configuration errors: unloadable campaign, a fleet dir whose
+ * configuration errors: unloadable campaign, a fleet dir that already
+ * holds a campaign without options.resume, a fleet dir whose
  * fingerprint marker names a different campaign, an unusable socket
  * path, or a shard exceeding its retry budget. Job failures are not
  * fatal — they surface in the report exactly as in a serial sweep.

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <utility>
 
 #include "kernels/kernel.h"
+#include "kernels/kernel_inputs.h"
 #include "obs/observer.h"
 #include "obs/schema.h"
 #include "runner/journal.h"
@@ -41,6 +43,72 @@ retrySeed(std::uint64_t base, int attempt)
 }
 
 } // namespace
+
+/**
+ * The campaign's kernels::KernelInputs stores, one per distinct
+ * (kernel, config.seed) among the jobs run() executes. A store is
+ * created when the first job of its key starts and freed when the last
+ * one finishes, so only the keys in flight hold frames; kernel-major
+ * expansion keeps that to about one key per worker thread.
+ */
+class SharedInputs
+{
+  public:
+    SharedInputs(const std::vector<const JobSpec *> &pending,
+                 std::size_t num_jobs)
+        : key_of_(num_jobs, 0)
+    {
+        std::map<std::pair<std::string, std::uint64_t>, std::size_t>
+            keys;
+        for (const JobSpec *job : pending) {
+            const auto [it, added] = keys.try_emplace(
+                {job->kernel, job->config.seed}, keys.size());
+            if (added)
+                slots_.push_back({job->kernel, job->config.seed, 0, {}});
+            key_of_[job->index] = it->second;
+            ++slots_[it->second].remaining;
+        }
+    }
+
+    /** The store of @p job's key (created on first use). */
+    kernels::KernelInputs *acquire(const JobSpec &job)
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        Slot &slot = slots_[key_of_[job.index]];
+        if (!slot.store)
+            slot.store = std::make_unique<kernels::KernelInputs>(
+                slot.kernel, slot.seed);
+        return slot.store.get();
+    }
+
+    /** @p job finished for good: free its store if it was the key's
+     *  last. Call exactly once per pending job. */
+    void release(const JobSpec &job)
+    {
+        // Freed after the lock is released: other keys' jobs need not
+        // wait for a store's frames to be deallocated.
+        std::unique_ptr<kernels::KernelInputs> last;
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            Slot &slot = slots_[key_of_[job.index]];
+            if (--slot.remaining == 0)
+                last = std::move(slot.store);
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        std::string kernel;
+        std::uint64_t seed;
+        std::size_t remaining;
+        std::unique_ptr<kernels::KernelInputs> store;
+    };
+
+    std::mutex mutex_;
+    std::vector<Slot> slots_;
+    std::vector<std::size_t> key_of_; ///< job index -> slot
+};
 
 std::string
 JobSpec::describe() const
@@ -230,8 +298,8 @@ SweepRunner::simJob(const JobSpec &spec, const trace::PowerTrace &trace,
                     util::Rng &rng)
 {
     (void)rng; // SystemSimulator forks its own tree from config.seed.
-    const kernels::Kernel kernel = kernels::makeKernel(spec.kernel);
-    sim::SystemSimulator simulator(kernel, &trace, spec.config);
+    sim::SystemSimulator simulator(kernels::makeKernel(spec.kernel),
+                                   &trace, spec.config);
     return simulator.run();
 }
 
@@ -296,6 +364,8 @@ SweepRunner::run()
                     "sim job body (custom JobFn bodies cannot be "
                     "packed into a SimBatch)");
 
+    SharedInputs inputs(pending, jobs.size());
+    inputs_ = &inputs;
     {
         ThreadPool pool(spec_.jobs <= 0
                             ? 0
@@ -331,6 +401,7 @@ SweepRunner::run()
         }
         pool.wait();
     }
+    inputs_ = nullptr;
     report.results = sink.take();
     report.wall_seconds =
         std::chrono::duration<double>(clock::now() - campaign_start)
@@ -346,6 +417,10 @@ SweepRunner::runSingleJob(const JobSpec &job, int retries, bool collect)
     JobResult jr;
     jr.spec = job;
     const auto start = clock::now();
+    // The store pointer lives only on this copy: jr.spec, the journal
+    // and every hook see the job as expanded.
+    JobSpec shared = job;
+    shared.config.inputs = inputs_->acquire(job);
     for (int attempt = 0; attempt <= retries; ++attempt) {
         jr.attempts = attempt + 1;
         try {
@@ -358,14 +433,14 @@ SweepRunner::runSingleJob(const JobSpec &job, int retries, bool collect)
                 // Fresh observer per attempt: a partial registry from
                 // a thrown attempt must not leak into the kept one.
                 obs::Observer observer;
-                JobSpec instrumented = job;
+                JobSpec instrumented = shared;
                 instrumented.config.obs = &observer;
                 jr.result = body_(instrumented,
                                   spec_.traces[job.trace_index], rng);
                 jr.metrics = std::move(observer.registry);
             } else {
                 jr.result =
-                    body_(job, spec_.traces[job.trace_index], rng);
+                    body_(shared, spec_.traces[job.trace_index], rng);
             }
             jr.ok = true;
             jr.error.clear();
@@ -387,6 +462,7 @@ SweepRunner::runSingleJob(const JobSpec &job, int retries, bool collect)
 void
 SweepRunner::recordAndDeliver(JobResult result, ResultSink &sink)
 {
+    inputs_->release(result.spec);
     if (journal_) {
         journal_->record(result);
         if (record_hook_)
@@ -423,14 +499,14 @@ SweepRunner::runBatchGroup(const std::vector<const JobSpec *> &pending,
         for (std::size_t k = 0; k < count; ++k) {
             const JobSpec &job = *pending[start + k];
             sim::SimConfig config = job.config;
+            config.inputs = inputs_->acquire(job);
             if (collect) {
                 observers[k] = std::make_unique<obs::Observer>();
                 config.obs = observers[k].get();
             }
-            const kernels::Kernel kernel =
-                kernels::makeKernel(job.kernel);
             batch.add(std::make_unique<sim::SystemSimulator>(
-                kernel, &spec_.traces[job.trace_index], config));
+                kernels::makeKernel(job.kernel),
+                &spec_.traces[job.trace_index], config));
         }
         results = batch.runAll();
         batched_ok = true;

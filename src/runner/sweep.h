@@ -13,6 +13,12 @@
  * restores deterministic job-index order before aggregation, so all
  * downstream tables/CSVs are byte-identical at any --jobs value.
  *
+ * Jobs of one kernel and config seed read the same input frames and
+ * frame-period calibration: run() gives them one shared
+ * kernels::KernelInputs store through their config copies, created
+ * when the first such job starts and freed when the last finishes
+ * (DESIGN.md §17).
+ *
  * Failure semantics: a job that throws is retried up to
  * SweepSpec::max_retries times; a job still failing lands in the
  * report's failure list (with its spec and attempt count) instead of
@@ -40,6 +46,7 @@ namespace inc::runner
 {
 
 class SweepJournal;
+class SharedInputs;
 
 /**
  * One configuration axis point. @p make receives the kernel name so a
@@ -304,11 +311,13 @@ class SweepRunner
                                  util::Rng &rng);
 
   private:
-    /** Run one job through body_ with the full retry loop. */
+    /** Run one job through body_ with the full retry loop. Its config
+     *  copy carries the job's shared inputs store (DESIGN.md §17). */
     JobResult runSingleJob(const JobSpec &job, int retries,
                            bool collect);
 
-    /** Journal (+ hook) and deliver one finished job. */
+    /** Release the job's shared inputs, journal (+ hook) and deliver
+     *  one finished job. */
     void recordAndDeliver(JobResult result, ResultSink &sink);
 
     /**
@@ -327,6 +336,8 @@ class SweepRunner
     JobFn body_;
     bool default_body_ = false;
     SweepJournal *journal_ = nullptr;
+    /** The running campaign's input stores (set only inside run()). */
+    SharedInputs *inputs_ = nullptr;
     std::function<void(std::size_t)> record_hook_;
     std::function<void(const JobResult &)> delivery_hook_;
     std::function<void(const JobResult &, std::size_t, std::size_t)>

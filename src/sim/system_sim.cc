@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "kernels/kernel_inputs.h"
 #include "obs/observer.h"
 #include "obs/report/flight_recorder.h"
 #include "obs/schema.h"
@@ -35,6 +36,8 @@ SystemSimulator::SystemSimulator(kernels::Kernel kernel,
         config_.controller.simd_adoption = false;
 
     config_.core.engine = config_.exec_engine;
+    if (config_.inputs)
+        config_.inputs->bind(kernel_, config_.seed);
 
     mem_ = std::make_unique<nvp::DataMemory>(
         rng_.split(), isa::kDataMemBytes, config_.persistence);
@@ -118,14 +121,19 @@ SystemSimulator::SystemSimulator(kernels::Kernel kernel,
     // ---- sensor -----------------------------------------------------------
     frame_period_ = config_.frame_period_tenth_ms;
     if (frame_period_ <= 0.0) {
-        FunctionalConfig cal;
-        cal.frames = 1;
-        cal.bits = 8;
-        cal.seed = config_.seed;
-        const FunctionalResult r = runFunctional(kernel_, cal);
+        const auto calibrate = [this] {
+            FunctionalConfig cal;
+            cal.frames = 1;
+            cal.bits = 8;
+            cal.seed = config_.seed;
+            return runFunctional(kernel_, cal).cyclesPerFrame();
+        };
+        const double cycles_per_frame =
+            config_.inputs ? config_.inputs->cyclesPerFrame(calibrate)
+                           : calibrate();
         // cycles at 1 MHz -> 0.1 ms units: 100 cycles per unit.
         frame_period_ = std::max(
-            10.0, config_.frame_period_factor * r.cyclesPerFrame() /
+            10.0, config_.frame_period_factor * cycles_per_frame /
                       kCyclesPerSample);
     }
 
@@ -171,6 +179,15 @@ SystemSimulator::SystemSimulator(kernels::Kernel kernel,
             (max_step_nj + energy_model_.idleCycleEnergyNj());
 }
 
+const std::vector<std::uint8_t> &
+SystemSimulator::inputFrame(std::uint32_t f)
+{
+    if (config_.inputs)
+        return config_.inputs->frame(static_cast<int>(f));
+    frame_scratch_ = kernel_.make_input(scene_, static_cast<int>(f));
+    return frame_scratch_;
+}
+
 void
 SystemSimulator::captureFramesUpTo(std::size_t sample)
 {
@@ -205,9 +222,8 @@ SystemSimulator::captureFramesUpTo(std::size_t sample)
             continue;
         }
         ++newest_frame_;
-        mem_->hostWriteBlock(
-            kernel_.layout.inSlotAddr(f),
-            kernel_.make_input(scene_, static_cast<int>(f)));
+        mem_->hostWriteBlock(kernel_.layout.inSlotAddr(f),
+                             inputFrame(f));
         capture_time_[f] = sample;
         if (capture_time_.size() > 64)
             capture_time_.erase(capture_time_.begin());
@@ -221,10 +237,9 @@ SystemSimulator::scoreFrame(const core::FrameCompletion &completion)
     const std::uint32_t f = completion.frame;
     auto golden_it = golden_cache_.find(f);
     if (golden_it == golden_cache_.end()) {
-        golden_it = golden_cache_
-                        .emplace(f, kernel_.golden(kernel_.make_input(
-                                        scene_, static_cast<int>(f))))
-                        .first;
+        golden_it =
+            golden_cache_.emplace(f, kernel_.golden(inputFrame(f)))
+                .first;
     }
     const std::uint32_t addr = kernel_.layout.outSlotAddr(f);
     const auto out = mem_->snapshot(addr, kernel_.layout.out_bytes);

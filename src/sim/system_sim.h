@@ -49,6 +49,11 @@ namespace inc::arena
 class PersistenceBackend;
 }
 
+namespace inc::kernels
+{
+class KernelInputs;
+}
+
 namespace inc::sim
 {
 
@@ -91,6 +96,18 @@ struct SimConfig
      *  threshold. */
     int start_quantum_instr = 64;
 
+    /**
+     * Backup strategy attached to the run (DESIGN.md §14). Strategies
+     * are a persistence + ckpt.* accounting overlay over the
+     * simulation: they never feed back into the capacitor, core or
+     * data memory, so crash-free results are bit-identical across all
+     * registered strategies (enforced by tests/test_strategy_conformance
+     * and fuzz --modes strategy_diff). The strategy's checkpoint image
+     * lives in `persistence` under the "ckpt" prefix (a private heap
+     * store when persistence is null).
+     */
+    StrategyKind strategy = StrategyKind::active;
+
     /** Sensor frame period in 0.1 ms units; 0 = auto-calibrate to
      *  frame_period_factor x the precise frame compute time. */
     double frame_period_tenth_ms = 0.0;
@@ -121,16 +138,21 @@ struct SimConfig
     arena::PersistenceBackend *persistence = nullptr;
 
     /**
-     * Backup strategy attached to the run (DESIGN.md §14). Strategies
-     * are a persistence + ckpt.* accounting overlay over the
-     * simulation: they never feed back into the capacitor, core or
-     * data memory, so crash-free results are bit-identical across all
-     * registered strategies (enforced by tests/test_strategy_conformance
-     * and fuzz --modes strategy_diff). The strategy's checkpoint image
-     * lives in `persistence` under the "ckpt" prefix (a private heap
-     * store when persistence is null).
+     * Campaign-shared input frames and frame-period calibration of
+     * this run's (kernel, seed) (DESIGN.md §17). When non-null the
+     * simulator reads frames and the precise cycles per frame from
+     * the store instead of computing its own — bit-identical, since
+     * both are pure in the key — and panics if the store belongs to
+     * another kernel or seed. runner::SweepRunner sets it on each
+     * job's config copy; it is never part of a job's identity. Not
+     * owned; must outlive the simulator.
+     *
+     * Layout: `strategy` sits in the padding after
+     * start_quantum_instr so that this pointer leaves sizeof(SimConfig)
+     * and every SystemSimulator member offset unchanged. Shifting them
+     * by 8 bytes made steady single runs about 12 % slower.
      */
-    StrategyKind strategy = StrategyKind::active;
+    kernels::KernelInputs *inputs = nullptr;
 };
 
 /** Per-frame quality record. */
@@ -240,6 +262,9 @@ class SystemSimulator
     double backupThresholdNj() const { return backup_threshold_nj_; }
 
   private:
+    /** Input frame @p f: from config_.inputs when set, else
+     *  synthesized into frame_scratch_. */
+    const std::vector<std::uint8_t> &inputFrame(std::uint32_t f);
     void captureFramesUpTo(std::size_t sample);
     void scoreFrame(const core::FrameCompletion &completion);
     void performBackup(std::size_t sample);
@@ -315,6 +340,9 @@ class SystemSimulator
     std::uint64_t obs_samples_ = 0;
     std::uint64_t obs_cold_boots_ = 0;
     std::size_t obs_phase_start_ = 0; ///< sample the power phase began
+
+    /** Last, for the member offsets (see SimConfig::inputs). */
+    std::vector<std::uint8_t> frame_scratch_;
 };
 
 } // namespace inc::sim

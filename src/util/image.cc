@@ -122,6 +122,20 @@ SceneGenerator::frame(int frame_index) const
     Rng noise_rng(seed_ ^ (0xABCDULL + static_cast<std::uint64_t>(
                                            frame_index) * 0x9e3779b9ULL));
 
+    // Per-frame invariants of the pixel loop, hoisted: the same
+    // expressions in the same order, so the pixels are bit-identical.
+    double blob_x[3] = {};
+    double blob_y[3] = {};
+    for (int b = 0; b < 3; ++b) {
+        blob_x[b] = w * (0.25 + 0.22 * b) + 3.0 * std::sin(drift * 0.2 + b);
+        blob_y[b] =
+            h * (0.3 + 0.18 * b) + 2.0 * std::cos(drift * 0.15 + 2 * b);
+    }
+    const double blob_sigma = 0.018 * w * h / 4.0 + 8.0;
+    const double scene_bx = w * 0.55 + 4.0 * std::sin(drift * 0.1);
+    const double scene_by = h * 0.45;
+    const int scene_edge = static_cast<int>(w * 0.75 + drift) % width_;
+
     for (int y = 0; y < height_; ++y) {
         for (int x = 0; x < width_; ++x) {
             double v = 0.0;
@@ -140,16 +154,10 @@ SceneGenerator::frame(int frame_index) const
               case SceneKind::blobs: {
                 v = 0.15;
                 for (int b = 0; b < 3; ++b) {
-                    const double bx =
-                        w * (0.25 + 0.22 * b) + 3.0 * std::sin(
-                            drift * 0.2 + b);
-                    const double by =
-                        h * (0.3 + 0.18 * b) + 2.0 * std::cos(
-                            drift * 0.15 + 2 * b);
-                    const double r2 = (x - bx) * (x - bx) +
-                                      (y - by) * (y - by);
-                    const double sigma = 0.018 * w * h / 4.0 + 8.0;
-                    v += 0.6 * std::exp(-r2 / sigma);
+                    const double r2 =
+                        (x - blob_x[b]) * (x - blob_x[b]) +
+                        (y - blob_y[b]) * (y - blob_y[b]);
+                    v += 0.6 * std::exp(-r2 / blob_sigma);
                 }
                 break;
               }
@@ -165,12 +173,11 @@ SceneGenerator::frame(int frame_index) const
                 // faint texture: exercises gradients, corners and noise
                 // response together.
                 v = 0.25 + 0.3 * fx + 0.15 * fy;
-                const double bx = w * 0.55 + 4.0 * std::sin(drift * 0.1);
-                const double by = h * 0.45;
-                const double r2 = (x - bx) * (x - bx) + (y - by) * (y - by);
+                const double r2 = (x - scene_bx) * (x - scene_bx) +
+                                  (y - scene_by) * (y - scene_by);
                 if (r2 < 0.03 * w * h)
                     v += 0.4;
-                if (x > static_cast<int>(w * 0.75 + drift) % width_)
+                if (x > scene_edge)
                     v -= 0.2;
                 v += 0.08 * (valueNoise(seed_, (x + drift) / 6.0,
                                         y / 6.0) - 0.5);

@@ -729,6 +729,61 @@ TEST(FleetCrash, KillingEveryWorkerOnceLeavesBytesUnchanged)
     fs::remove_all(base);
 }
 
+TEST(FleetResume, ExistingFleetDirRequiresResumeAndReplaysIt)
+{
+    const std::string base = freshDir("resume");
+    const std::string campaign = base + "/campaign.json";
+    writeCampaign(campaign);
+
+    const std::string serial_dir = base + "/serial";
+    fs::create_directories(serial_dir);
+    std::string out;
+    ASSERT_EQ(runCommand("cd " + serial_dir + " && ( " +
+                             serialSweepCommand() + kOutputFlags,
+                         &out),
+              0)
+        << out;
+
+    const std::string dir = base + "/fleet";
+    fs::create_directories(dir);
+    const std::string serve = "cd " + dir + " && ( " +
+                              std::string(INC_NVPSIM_PATH) + " serve " +
+                              campaign + " --workers 2 --fleet-dir fd";
+    ASSERT_EQ(runCommand(serve + kOutputFlags, &out), 0) << out;
+    expectSameCampaignBytes(serial_dir, dir, "first serve");
+    EXPECT_NE(readFile(dir + "/stderr.txt")
+                  .find("fleet: 0 jobs resumed from the fleet dir, 4 "
+                        "computed"),
+              std::string::npos)
+        << readFile(dir + "/stderr.txt");
+
+    // The same campaign again without --resume: the leftover fleet
+    // dir is a fatal error naming the dir, not a silent replay.
+    out.clear();
+    EXPECT_NE(runCommand(std::string(INC_NVPSIM_PATH) + " serve " +
+                             campaign + " --workers 2 --fleet-dir " +
+                             dir + "/fd",
+                         &out),
+              0);
+    EXPECT_NE(out.find("fatal:"), std::string::npos) << out;
+    EXPECT_NE(out.find("'" + dir + "/fd' already holds a campaign"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("--resume"), std::string::npos) << out;
+
+    // With --resume every job replays from the journals, and the
+    // campaign bytes are those of the serial sweep.
+    ASSERT_EQ(runCommand(serve + " --resume" + kOutputFlags, &out), 0)
+        << out;
+    expectSameCampaignBytes(serial_dir, dir, "resumed serve");
+    EXPECT_NE(readFile(dir + "/stderr.txt")
+                  .find("fleet: 4 jobs resumed from the fleet dir, 0 "
+                        "computed"),
+              std::string::npos)
+        << readFile(dir + "/stderr.txt");
+    fs::remove_all(base);
+}
+
 // ---- live telemetry plane (DESIGN.md §16) ----------------------------
 
 /** A slower campaign (more simulated seconds) so the status watcher
@@ -927,7 +982,7 @@ TEST(FleetCli, HardErrorsDieWithClearMessages)
     }
 
     // A fleet dir bound to a different campaign is a hard error, not a
-    // silent mix of journals.
+    // silent mix of journals — also when resuming is asked for.
     const std::string fdir = base + "/fd";
     std::string out;
     ASSERT_EQ(runCommand(std::string(INC_NVPSIM_PATH) + " serve " +
@@ -945,7 +1000,8 @@ TEST(FleetCli, HardErrorsDieWithClearMessages)
     out.clear();
     const int code = runCommand(std::string(INC_NVPSIM_PATH) +
                                     " serve " + other +
-                                    " --workers 1 --fleet-dir " + fdir,
+                                    " --workers 1 --fleet-dir " + fdir +
+                                    " --resume",
                                 &out);
     EXPECT_NE(code, 0);
     EXPECT_NE(out.find("fatal:"), std::string::npos) << out;

@@ -1,8 +1,8 @@
 /**
  * Tests for the src/runner experiment-orchestration subsystem: thread
  * pool lifecycle, sweep expansion/seeding, parallel-vs-serial
- * determinism, deterministic aggregation order, and failure capture
- * with bounded retry.
+ * determinism, deterministic aggregation order, failure capture
+ * with bounded retry, and the campaign-shared kernel inputs.
  */
 
 #include <atomic>
@@ -15,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "kernels/kernel.h"
+#include "kernels/kernel_inputs.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
+#include "sim/result_io.h"
 #include "trace/trace_generator.h"
 #include "util/fs.h"
 
@@ -464,6 +467,221 @@ TEST(SweepRunner, NoRetryWhenMaxRetriesZero)
     const auto report = sweep.run();
     EXPECT_FALSE(report.allOk());
     EXPECT_EQ(report.results[0].attempts, 1);
+}
+
+// ---------------------------------------------------------------------
+// Campaign-shared kernel inputs (DESIGN.md §17)
+
+TEST(KernelInputs, ConcurrentRequestsShareFramesAndOneCalibration)
+{
+    constexpr int kThreads = 8;
+    constexpr int kFrames = 24;
+    constexpr std::uint64_t kSeed = 99;
+    const kernels::Kernel kernel = kernels::makeKernel("sobel");
+    kernels::KernelInputs store("sobel", kSeed);
+
+    std::atomic<int> calibrations{0};
+    std::atomic<bool> go{false};
+    std::vector<double> cycles(kThreads, 0.0);
+    std::vector<std::vector<const std::vector<std::uint8_t> *>> seen(
+        kThreads,
+        std::vector<const std::vector<std::uint8_t> *>(kFrames));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            store.bind(kernel, kSeed);
+            while (!go.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            cycles[t] = store.cyclesPerFrame([&calibrations] {
+                calibrations.fetch_add(1);
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                return 1234.5;
+            });
+            // Every thread requests every frame, each from a different
+            // starting point, so requests for one frame overlap.
+            for (int i = 0; i < kFrames; ++i) {
+                const int f = (i + 3 * t) % kFrames;
+                seen[t][f] = &store.frame(f);
+            }
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(calibrations.load(), 1);
+    for (const double c : cycles)
+        EXPECT_EQ(c, 1234.5);
+    EXPECT_EQ(store.framesHeld(), static_cast<std::size_t>(kFrames));
+    const util::SceneGenerator scene(kernel.width, kernel.height,
+                                     kernel.scene, kSeed);
+    for (int f = 0; f < kFrames; ++f) {
+        const std::vector<std::uint8_t> want = kernel.make_input(scene, f);
+        for (int t = 0; t < kThreads; ++t) {
+            ASSERT_EQ(seen[t][f], seen[0][f]) << "frame " << f;
+            EXPECT_EQ(*seen[t][f], want) << "frame " << f;
+        }
+    }
+}
+
+/** 2 kernels x 2 traces x 2 variants; the tuned variant's fast sensor
+ *  makes most frames of a (kernel, seed) shared between jobs. */
+runner::SweepSpec
+sharedInputsSpec(int jobs)
+{
+    runner::SweepSpec spec;
+    spec.kernels = {"sobel", "median"};
+    spec.traces = trace::standardProfiles(2000, 7);
+    spec.traces.resize(2);
+    spec.variants = {{"precise",
+                      [](const std::string &) {
+                          sim::SimConfig cfg;
+                          cfg.bits.mode = approx::ApproxMode::precise;
+                          cfg.seed = 2017;
+                          return cfg;
+                      }},
+                     {"fast-sensor", [](const std::string &) {
+                          sim::SimConfig cfg;
+                          cfg.frame_period_factor = 0.2;
+                          cfg.seed = 2017;
+                          return cfg;
+                      }}};
+    spec.master_seed = 42;
+    spec.jobs = jobs;
+    return spec;
+}
+
+/** Every job of @p spec run by a standalone simulator, no store. */
+std::vector<std::string>
+standaloneResults(const runner::SweepSpec &spec)
+{
+    std::vector<std::string> out;
+    for (const runner::JobSpec &job : runner::expandSweep(spec)) {
+        EXPECT_EQ(job.config.inputs, nullptr);
+        sim::SystemSimulator simulator(kernels::makeKernel(job.kernel),
+                                       &spec.traces[job.trace_index],
+                                       job.config);
+        out.push_back(sim::serializeResult(simulator.run()));
+    }
+    return out;
+}
+
+void
+expectStandaloneBytes(const runner::SweepReport &report,
+                      const std::vector<std::string> &want)
+{
+    ASSERT_EQ(report.results.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i));
+        ASSERT_TRUE(report.results[i].ok) << report.results[i].error;
+        EXPECT_EQ(sim::serializeResult(report.results[i].result),
+                  want[i]);
+        // The store pointer never leaks into the reported spec.
+        EXPECT_EQ(report.results[i].spec.config.inputs, nullptr);
+    }
+    EXPECT_EQ(kernels::KernelInputs::live(), 0u);
+}
+
+TEST(SweepSharedInputs, ByteEqualToStandaloneRunsOnEveryPath)
+{
+    const std::vector<std::string> want =
+        standaloneResults(sharedInputsSpec(1));
+
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        runner::SweepRunner sweep(sharedInputsSpec(jobs));
+        expectStandaloneBytes(sweep.run(), want);
+    }
+
+    {
+        SCOPED_TRACE("batch_width 4");
+        auto spec = sharedInputsSpec(2);
+        spec.batch_width = 4;
+        runner::SweepRunner sweep(spec);
+        expectStandaloneBytes(sweep.run(), want);
+    }
+
+    {
+        // A custom body sees the store on its config; serially, only
+        // the key in flight holds one.
+        SCOPED_TRACE("custom body");
+        auto max_live = std::make_shared<std::atomic<std::size_t>>(0);
+        auto body = [max_live](const runner::JobSpec &job,
+                               const trace::PowerTrace &trace,
+                               util::Rng &rng) {
+            EXPECT_NE(job.config.inputs, nullptr);
+            const std::size_t live = kernels::KernelInputs::live();
+            if (live > max_live->load())
+                max_live->store(live);
+            return runner::SweepRunner::simJob(job, trace, rng);
+        };
+        runner::SweepRunner sweep(sharedInputsSpec(1), body);
+        expectStandaloneBytes(sweep.run(), want);
+        EXPECT_EQ(max_live->load(), 1u);
+    }
+
+    {
+        // A first attempt that runs (filling the store) and then
+        // throws; the retry must still match the standalone bytes.
+        SCOPED_TRACE("injected failure + retry");
+        auto tries = std::make_shared<std::vector<std::atomic<int>>>(
+            want.size());
+        auto body = [tries](const runner::JobSpec &job,
+                            const trace::PowerTrace &trace,
+                            util::Rng &rng) {
+            sim::SimResult result =
+                runner::SweepRunner::simJob(job, trace, rng);
+            if ((job.index == 1 || job.index == 6) &&
+                (*tries)[job.index].fetch_add(1) == 0)
+                throw std::runtime_error("injected failure");
+            return result;
+        };
+        runner::SweepRunner sweep(sharedInputsSpec(4), body);
+        const runner::SweepReport report = sweep.run();
+        expectStandaloneBytes(report, want);
+        EXPECT_EQ(report.results[1].attempts, 2);
+        EXPECT_EQ(report.results[6].attempts, 2);
+    }
+}
+
+TEST(SweepSharedInputs, DerivedConfigSeedsByteEqualToStandalone)
+{
+    // Every job gets its own seed, so every job gets its own store.
+    auto spec = sharedInputsSpec(4);
+    spec.derive_config_seeds = true;
+    const std::vector<std::string> want = standaloneResults(spec);
+    runner::SweepRunner sweep(spec);
+    expectStandaloneBytes(sweep.run(), want);
+}
+
+TEST(KernelInputsDeathTest, SimulatorPanicsOnAnotherKeysStore)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const std::vector<trace::PowerTrace> traces =
+        trace::standardProfiles(200, 7);
+    sim::SimConfig cfg;
+    cfg.seed = 2017;
+
+    kernels::KernelInputs other_kernel("median", 2017);
+    cfg.inputs = &other_kernel;
+    EXPECT_DEATH(sim::SystemSimulator(kernels::makeKernel("sobel"),
+                                      &traces[0], cfg),
+                 "store of kernel 'median' seed 2017 handed to kernel "
+                 "'sobel' seed 2017");
+
+    kernels::KernelInputs other_seed("sobel", 2018);
+    cfg.inputs = &other_seed;
+    EXPECT_DEATH(sim::SystemSimulator(kernels::makeKernel("sobel"),
+                                      &traces[0], cfg),
+                 "seed 2018 handed to kernel 'sobel' seed 2017");
+
+    // Same name and seed, other frame size.
+    kernels::KernelInputs bound("sobel", 2017);
+    bound.bind(kernels::makeKernel("sobel"), 2017);
+    cfg.inputs = &bound;
+    EXPECT_DEATH(sim::SystemSimulator(kernels::makeKernel("sobel", 64, 64),
+                                      &traces[0], cfg),
+                 "frame geometry");
 }
 
 // ---------------------------------------------------------------------

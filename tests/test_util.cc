@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -186,6 +187,155 @@ TEST(SceneGenerator, AllKindsProduceDistinctContent)
         mean /= img.pixels();
         EXPECT_GT(mean, 1.0);
         EXPECT_LT(mean, 254.0);
+    }
+}
+
+namespace
+{
+
+/** Smooth value noise exactly as util/image.cc computes it. */
+double
+referenceValueNoise(std::uint64_t seed, double x, double y)
+{
+    auto lattice = [seed](int ix, int iy) {
+        std::uint64_t h = seed;
+        h ^= static_cast<std::uint64_t>(ix) * 0x9e3779b97f4a7c15ULL;
+        h ^= static_cast<std::uint64_t>(iy) * 0xc2b2ae3d27d4eb4fULL;
+        h ^= h >> 33;
+        h *= 0xff51afd7ed558ccdULL;
+        h ^= h >> 33;
+        return static_cast<double>(h >> 11) * 0x1.0p-53;
+    };
+    const int ix = static_cast<int>(std::floor(x));
+    const int iy = static_cast<int>(std::floor(y));
+    const double fx = x - ix;
+    const double fy = y - iy;
+    auto fade = [](double t) { return t * t * (3.0 - 2.0 * t); };
+    const double ux = fade(fx);
+    const double uy = fade(fy);
+    const double a = lattice(ix, iy);
+    const double b = lattice(ix + 1, iy);
+    const double c = lattice(ix, iy + 1);
+    const double d = lattice(ix + 1, iy + 1);
+    const double top = a + (b - a) * ux;
+    const double bot = c + (d - c) * ux;
+    return top + (bot - top) * uy;
+}
+
+/**
+ * SceneGenerator::frame with every per-frame invariant (blob centres,
+ * blob sigma, the scene blob and edge column) evaluated per pixel: the
+ * loop as it was before those were hoisted out of it.
+ */
+u::Image
+referenceFrame(int width, int height, u::SceneKind kind,
+               std::uint64_t seed, int frame_index)
+{
+    u::Image img(width, height);
+    const double drift = 0.35 * frame_index;
+    const double w = width;
+    const double h = height;
+    u::Rng noise_rng(seed ^ (0xABCDULL + static_cast<std::uint64_t>(
+                                             frame_index) * 0x9e3779b9ULL));
+    for (int y = 0; y < height; ++y) {
+        for (int x = 0; x < width; ++x) {
+            double v = 0.0;
+            const double fx = (x + drift) / w;
+            const double fy = (y + 0.5 * drift) / h;
+            switch (kind) {
+              case u::SceneKind::gradient:
+                v = 0.5 * fx + 0.5 * fy;
+                break;
+              case u::SceneKind::checker: {
+                const int cx = static_cast<int>((x + drift) / 8.0);
+                const int cy = static_cast<int>(y / 8.0);
+                v = ((cx + cy) & 1) ? 0.85 : 0.15;
+                break;
+              }
+              case u::SceneKind::blobs: {
+                v = 0.15;
+                for (int b = 0; b < 3; ++b) {
+                    const double bx =
+                        w * (0.25 + 0.22 * b) + 3.0 * std::sin(
+                            drift * 0.2 + b);
+                    const double by =
+                        h * (0.3 + 0.18 * b) + 2.0 * std::cos(
+                            drift * 0.15 + 2 * b);
+                    const double r2 = (x - bx) * (x - bx) +
+                                      (y - by) * (y - by);
+                    const double sigma = 0.018 * w * h / 4.0 + 8.0;
+                    v += 0.6 * std::exp(-r2 / sigma);
+                }
+                break;
+              }
+              case u::SceneKind::texture:
+                v = 0.5 * referenceValueNoise(seed, (x + drift) / 5.0,
+                                              y / 5.0) +
+                    0.3 * referenceValueNoise(seed + 7, (x + drift) / 11.0,
+                                              y / 11.0) +
+                    0.2 * referenceValueNoise(seed + 13,
+                                              (x + drift) / 23.0,
+                                              y / 23.0);
+                break;
+              case u::SceneKind::scene: {
+                v = 0.25 + 0.3 * fx + 0.15 * fy;
+                const double bx = w * 0.55 + 4.0 * std::sin(drift * 0.1);
+                const double by = h * 0.45;
+                const double r2 = (x - bx) * (x - bx) + (y - by) * (y - by);
+                if (r2 < 0.03 * w * h)
+                    v += 0.4;
+                if (x > static_cast<int>(w * 0.75 + drift) % width)
+                    v -= 0.2;
+                v += 0.08 * (referenceValueNoise(seed, (x + drift) / 6.0,
+                                                 y / 6.0) -
+                             0.5);
+                break;
+              }
+            }
+            if (kind == u::SceneKind::texture ||
+                kind == u::SceneKind::scene ||
+                kind == u::SceneKind::blobs) {
+                v += 0.01 * noise_rng.nextGaussian();
+            }
+            img.set(x, y,
+                    u::clampU8(static_cast<std::int64_t>(
+                        std::lround(v * 255.0))));
+        }
+    }
+    return img;
+}
+
+} // namespace
+
+TEST(SceneGenerator, HoistedLoopIsBitIdenticalToPerPixelReference)
+{
+    struct Size
+    {
+        int w, h;
+    };
+    for (const u::SceneKind kind :
+         {u::SceneKind::gradient, u::SceneKind::checker,
+          u::SceneKind::blobs, u::SceneKind::texture,
+          u::SceneKind::scene}) {
+        for (const Size size : {Size{1, 1}, Size{5, 7}, Size{32, 32},
+                                Size{64, 48}}) {
+            for (const std::uint64_t seed : {0ULL, 1ULL, 2017ULL}) {
+                const u::SceneGenerator gen(size.w, size.h, kind, seed);
+                for (const int f : {0, 1, 17, 250, 1000}) {
+                    const u::Image want =
+                        referenceFrame(size.w, size.h, kind, seed, f);
+                    const u::Image got = gen.frame(f);
+                    ASSERT_EQ(got.data().size(), want.data().size());
+                    EXPECT_EQ(std::memcmp(got.data().data(),
+                                          want.data().data(),
+                                          want.data().size()),
+                              0)
+                        << "kind " << static_cast<int>(kind) << " "
+                        << size.w << "x" << size.h << " seed " << seed
+                        << " frame " << f;
+                }
+            }
+        }
     }
 }
 

@@ -76,7 +76,7 @@
  *       a testing aid that SIGKILLs the process after N jobs have been
  *       journaled.
  *
- *   nvpsim serve CAMPAIGN.json --workers N [--fleet-dir DIR]
+ *   nvpsim serve CAMPAIGN.json --workers N [--fleet-dir DIR] [--resume]
  *                [--socket PATH] [--shards S] [--worker-jobs J]
  *                [--max-shard-retries R] [--heartbeat-timeout SEC]
  *                [--out F.csv] [--metrics F.json] [--report]
@@ -98,11 +98,15 @@
  *       and its shard reassigned (bounded by --max-shard-retries,
  *       default 3) to a respawned worker, which warm-restarts from
  *       the journal instead of recomputing. Serving the same campaign
- *       into the same --fleet-dir resumes it; a fleet dir whose
- *       fingerprint marker names a different campaign is a hard
- *       error. fleet.* scheduling metrics (shards dispatched/
- *       reassigned/retried, workers spawned/lost, worker wall time,
- *       merge bytes) stay in a separate registry — stderr summary and
+ *       into the same --fleet-dir with --resume resumes it; without
+ *       --resume a fleet dir that already holds a campaign is a hard
+ *       error (as for `sweep --arena`), and so is a fleet dir whose
+ *       fingerprint marker names a different campaign. The stderr
+ *       summary counts the jobs resumed from the fleet dir's journals
+ *       and the jobs computed. fleet.* scheduling metrics (shards
+ *       dispatched/reassigned/retried, workers spawned/lost, worker
+ *       wall time, merge bytes) stay in a separate registry — stderr
+ *       summary and
  *       a telemetry snapshot JSON ({"schema":"inc-fleet-telemetry-v1",
  *       "campaign":FP,"fleet":{...}}) written to --fleet-metrics or,
  *       by default when --metrics F.json is given, to
@@ -889,6 +893,7 @@ cmdServe(const Args &args)
     opt.fleet_dir =
         args.get("fleet-dir", opt.campaign_path + ".fleet");
     opt.socket_path = args.get("socket");
+    opt.resume = args.has("resume");
     opt.nvpsim_path = selfExePath();
 
     // Strict parse: "--workers banana" (or 0) must die loudly, not
@@ -956,6 +961,11 @@ cmdServe(const Args &args)
         counter(obs::kFleetWorkersSpawned),
         counter(obs::kFleetWorkersLost),
         counter(obs::kFleetMergeBytes));
+    const std::size_t jobs_total = outcome.report.results.size();
+    std::fprintf(stderr,
+                 "fleet: %zu jobs resumed from the fleet dir, %zu "
+                 "computed\n",
+                 outcome.jobs_resumed, jobs_total - outcome.jobs_resumed);
     // Fleet telemetry snapshot: the fleet.* registry wrapped in its
     // own document (separate "fleet" top-level key, tagged with the
     // campaign fingerprint). Written to --fleet-metrics, or defaulted
