@@ -82,17 +82,6 @@ Core::lane(int index) const
 }
 
 int
-Core::activeLaneCount() const
-{
-    int count = 0;
-    for (const LaneInfo &l : lanes_) {
-        if (l.active)
-            ++count;
-    }
-    return count;
-}
-
-int
 Core::freeLane() const
 {
     for (int i = 1; i < config_.max_lanes; ++i) {
@@ -258,7 +247,7 @@ Core::stepReference()
     const isa::Instruction &inst = program_->at(pc_);
     result.op = inst.op;
     result.cycles = isa::opCycles(inst.op);
-    result.lanes_committed = activeLaneCount();
+    result.lanes_committed = active_lanes_;
 
     std::uint16_t next_pc = static_cast<std::uint16_t>(pc_ + 1);
     const isa::OpClass cls = isa::opClass(inst.op);

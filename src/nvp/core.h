@@ -142,7 +142,7 @@ class Core
     int maxLanes() const { return config_.max_lanes; }
 
     /** Number of active lanes including lane 0. */
-    int activeLaneCount() const;
+    int activeLaneCount() const { return active_lanes_; }
 
     /** Lowest free incidental lane slot, or -1. */
     int freeLane() const;
@@ -247,8 +247,8 @@ class Core
     std::uint16_t match_mask_ = 0;
 
     std::array<LaneInfo, kMaxLanes> lanes_;
-    /** Cached activeLaneCount(), maintained by (de)activateLane; the
-     *  fast path reads it instead of re-scanning the lane array. */
+    /** Number of active lanes, maintained by (de)activateLane (lane 0
+     *  is always active). */
     int active_lanes_ = 1;
     obs::CoreCounters *obs_ = nullptr;
 };

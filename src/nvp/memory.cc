@@ -69,6 +69,11 @@ DataMemory::addVersionedRegion(std::uint32_t start, std::uint32_t length,
         region.own_cells.resize(length);
         region.cells = region.own_cells.data();
     }
+    // Backend cells may come back with written bits a previous owner
+    // set, so the first clear of each lane scans the whole region;
+    // fresh heap cells hold none.
+    region.written_lo.fill(backend_ ? 0 : length);
+    region.written_hi.fill(backend_ ? length : 0);
     versioned_.push_back(std::move(region));
 }
 
@@ -173,10 +178,15 @@ DataMemory::store8(int lane, std::uint32_t addr, std::uint8_t value,
         main_prec_[addr] = static_cast<std::uint8_t>(bits);
         return;
     }
-    auto &cell = r->cells[addr - r->start];
+    const std::uint32_t off = addr - r->start;
+    auto &cell = r->cells[off];
     cell.value[static_cast<size_t>(lane)] = value;
     cell.prec[static_cast<size_t>(lane)] = static_cast<std::uint8_t>(bits);
     cell.written |= static_cast<std::uint8_t>(1u << lane);
+    std::uint32_t &lo = r->written_lo[static_cast<size_t>(lane)];
+    std::uint32_t &hi = r->written_hi[static_cast<size_t>(lane)];
+    lo = std::min(lo, off);
+    hi = std::max(hi, off + 1);
     // Higher-bits write-through arbitration into the main version —
     // output regions only; lane-private scratch never disturbs lane 0.
     if (r->write_through) {
@@ -213,8 +223,12 @@ DataMemory::clearLaneVersions(int lane)
     INC_OBS_COUNT(obs_, lane_clears);
     const auto mask = static_cast<std::uint8_t>(~(1u << lane));
     for (VersionedRegion &r : versioned_) {
-        for (std::uint32_t i = 0; i < r.length; ++i)
+        std::uint32_t &lo = r.written_lo[static_cast<size_t>(lane)];
+        std::uint32_t &hi = r.written_hi[static_cast<size_t>(lane)];
+        for (std::uint32_t i = lo; i < hi; ++i)
             r.cells[i].written &= mask;
+        lo = r.length;
+        hi = 0;
     }
 }
 

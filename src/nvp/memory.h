@@ -140,7 +140,8 @@ class DataMemory
      */
     void resetVersionedRange(std::uint32_t start, std::uint32_t len);
 
-    /** Forget lane @p lane's private version data everywhere (retire). */
+    /** Forget lane @p lane's private version data everywhere (retire).
+     *  Touches only the cells the lane wrote since its last clear. */
     void clearLaneVersions(int lane);
 
     /**
@@ -253,6 +254,11 @@ class DataMemory
         Cell *cells = nullptr;
         std::vector<Cell> own_cells; ///< heap-mode storage
         std::string block_name;      ///< backend-mode block
+        // Per lane, a cell range [lo, hi) holding every set written bit
+        // of that lane (empty when lo >= hi): store8 widens it and
+        // clearLaneVersions walks only it. Heap-side, never persisted.
+        std::array<std::uint32_t, kMaxVersions> written_lo{};
+        std::array<std::uint32_t, kMaxVersions> written_hi{};
     };
 
     VersionedRegion *findVersioned(std::uint32_t addr);

@@ -100,6 +100,17 @@ SystemSimulator::SystemSimulator(kernels::Kernel kernel,
         config_.controller.backup_policy, reserve_versions_);
     backup_threshold_nj_ = backup_nj * config_.backup_guard;
 
+    // Single-lane stepping (DESIGN.md §11): without adoption, history
+    // spawns, full SIMD or auto-recompute no lane but 0 ever runs, so
+    // the per-instruction lane bookkeeping is constant. The reference
+    // engine keeps the general body, the oracle this path is diffed
+    // against.
+    single_lane_ = !multi_lane &&
+                   config_.exec_engine != nvp::ExecEngine::reference;
+    single_lane_reserve_nj_ =
+        config_.backup_guard *
+        energy_model_.backupEnergyNj(config_.controller.backup_policy, 1);
+
     int min_bits = 8;
     switch (config_.bits.mode) {
       case approx::ApproxMode::precise: min_bits = 8; break;
@@ -420,6 +431,26 @@ SystemSimulator::run()
 bool
 SystemSimulator::stepSample()
 {
+    return single_lane_ ? stepSampleImpl<false>()
+                        : stepSampleImpl<true>();
+}
+
+void
+SystemSimulator::laneInSingleLaneRun() const
+{
+    int lane = 1;
+    while (lane < nvp::kMaxLanes - 1 && !core_->lane(lane).active)
+        ++lane;
+    util::panic("SystemSimulator: lane %d became active in a single-lane "
+                "run (no adoption, history spawn, full SIMD or "
+                "auto-recompute configured)",
+                lane);
+}
+
+template <bool kMultiLane>
+bool
+SystemSimulator::stepSampleImpl()
+{
     const std::size_t samples = trace_->size();
     if (finalized_)
         util::panic("SystemSimulator: stepSample after finalize");
@@ -496,6 +527,20 @@ SystemSimulator::stepSample()
         bool skip_reserve =
             quantum_ok && capacitor_.energyNj() > quantum_safe_level_nj_;
 
+        // The backup reserve tracks the state that actually needs
+        // saving: the controller knows its live lane count and sets the
+        // comparator level accordingly.
+        const auto reserve_nj = [this] {
+            if constexpr (kMultiLane) {
+                return config_.backup_guard *
+                       energy_model_.backupEnergyNj(
+                           config_.controller.backup_policy,
+                           core_->activeLaneCount());
+            } else {
+                return single_lane_reserve_nj_;
+            }
+        };
+
         int budget = kCyclesPerSample;
         while (budget > 0 && on_) {
             if (waiting_for_frame_) {
@@ -515,29 +560,26 @@ SystemSimulator::stepSample()
                     if (obs_)
                         obs_idle_nj_ += idle;
                     budget = 0;
-                    if (!skip_reserve) {
-                        const double reserve =
-                            config_.backup_guard *
-                            energy_model_.backupEnergyNj(
-                                config_.controller.backup_policy,
-                                core_->activeLaneCount());
-                        if (capacitor_.energyNj() <= reserve)
-                            performBackup(i);
-                    }
+                    if (!skip_reserve &&
+                        capacitor_.energyNj() <= reserve_nj())
+                        performBackup(i);
                     break;
                 }
             }
 
-            controller_->maybeAdopt(capacitor_.fraction(),
-                                    static_cast<std::uint32_t>(
-                                        std::max<std::int64_t>(
-                                            0, newest_frame_)));
+            if constexpr (kMultiLane) {
+                controller_->maybeAdopt(capacitor_.fraction(),
+                                        static_cast<std::uint32_t>(
+                                            std::max<std::int64_t>(
+                                                0, newest_frame_)));
+            }
 
             const nvp::StepResult step = core_->step();
             const int main_bits =
                 core_->acEnabled() ? core_->mainBits() : 8;
             const double instr_cost = energy_model_.instructionEnergyNj(
-                step.op, main_bits, core_->incidentalBitsSum(),
+                step.op, main_bits,
+                kMultiLane ? core_->incidentalBitsSum() : 0,
                 step.store_policy);
             double cost = instr_cost;
             if (step.assemble_bytes > 0) {
@@ -595,6 +637,10 @@ SystemSimulator::stepSample()
                     waiting_for_frame_ = true;
                     wanted_frame_ = outcome.frame;
                 }
+                if constexpr (!kMultiLane) {
+                    if (core_->activeLaneCount() != 1)
+                        laneInSingleLaneRun();
+                }
             }
             if (step.halted)
                 break;
@@ -607,16 +653,7 @@ SystemSimulator::stepSample()
             }
             if (skip_reserve)
                 continue;
-
-            // The backup reserve tracks the state that actually needs
-            // saving: the controller knows its live lane count and sets
-            // the comparator level accordingly.
-            const double reserve =
-                config_.backup_guard *
-                energy_model_.backupEnergyNj(
-                    config_.controller.backup_policy,
-                    core_->activeLaneCount());
-            if (capacitor_.energyNj() <= reserve) {
+            if (capacitor_.energyNj() <= reserve_nj()) {
                 performBackup(i);
                 break;
             }

@@ -240,6 +240,11 @@ class SystemSimulator
      * lockstep through this — the decomposition is observationally
      * identical to run() (run() IS this loop), so interleaving
      * independent simulators cannot change any result.
+     *
+     * Configurations that can never hold an incidental lane run a
+     * single-lane instantiation of the same body on the fast-path
+     * engines (DESIGN.md §11); it panics if a lane other than 0 ever
+     * becomes active.
      */
     bool stepSample();
 
@@ -262,6 +267,13 @@ class SystemSimulator
     double backupThresholdNj() const { return backup_threshold_nj_; }
 
   private:
+    /** stepSample()'s body. kMultiLane = false assumes lane 0 is the
+     *  only active lane: no adoption, no lane bits, constant reserve. */
+    template <bool kMultiLane>
+    bool stepSampleImpl();
+    /** Panic naming the first active lane other than 0. */
+    void laneInSingleLaneRun() const;
+
     /** Input frame @p f: from config_.inputs when set, else
      *  synthesized into frame_scratch_. */
     const std::vector<std::uint8_t> &inputFrame(std::uint32_t f);
@@ -341,8 +353,13 @@ class SystemSimulator
     std::uint64_t obs_cold_boots_ = 0;
     std::size_t obs_phase_start_ = 0; ///< sample the power phase began
 
-    /** Last, for the member offsets (see SimConfig::inputs). */
+    /** After the hot members, as are the two below, for the member
+     *  offsets (see SimConfig::inputs). */
     std::vector<std::uint8_t> frame_scratch_;
+    /** stepSample() takes stepSampleImpl<false>. */
+    bool single_lane_ = false;
+    /** The backup reserve with lane 0 alone (single-lane runs). */
+    double single_lane_reserve_nj_ = 0.0;
 };
 
 } // namespace inc::sim

@@ -209,6 +209,36 @@ TEST(CoreExec, DeactivateLaneClearsItsVersions)
     EXPECT_EQ(f.core->activeLaneCount(), 1);
 }
 
+TEST(CoreExec, ActiveLaneCountMatchesALaneScan)
+{
+    Fixture f("halt\n");
+    const auto scan = [&f] {
+        int n = 0;
+        for (int i = 0; i < kMaxLanes; ++i)
+            n += f.core->lane(i).active ? 1 : 0;
+        return n;
+    };
+    const auto expectCount = [&](int want) {
+        EXPECT_EQ(scan(), want);
+        EXPECT_EQ(f.core->activeLaneCount(), scan());
+    };
+    expectCount(1);
+    RegSnapshot regs{};
+    f.core->activateLane(1, regs, 4, 0);
+    expectCount(2);
+    f.core->activateLane(3, regs, 4, 1);
+    expectCount(3);
+    f.core->deactivateLane(1);
+    expectCount(2);
+    f.core->deactivateLane(1); // already inactive: no-op
+    expectCount(2);
+    f.core->activateLane(1, regs, 4, 2);
+    f.core->activateLane(2, regs, 4, 3);
+    expectCount(4);
+    f.core->deactivateAllLanes();
+    expectCount(1);
+}
+
 TEST(CoreExec, IncidentalBitsSum)
 {
     Fixture f("halt\n");

@@ -6,10 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
+#include <filesystem>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "arena/arena.h"
+#include "arena/backend.h"
 #include "nvm/nvm_array.h"
 #include "nvp/memory.h"
 #include "util/bit_ops.h"
@@ -104,6 +111,126 @@ TEST(DataMemory, ClearLaneVersions)
     EXPECT_EQ(mem.load8(3, 1050, 8, false), 99);
     mem.clearLaneVersions(3);
     EXPECT_EQ(mem.load8(3, 1050, 8, false), 10);
+}
+
+namespace
+{
+
+/** load8 of every byte of [start, start+len) as lane @p lane sees it. */
+std::vector<std::uint8_t>
+laneView(DataMemory &mem, int lane, std::uint32_t start, std::uint32_t len)
+{
+    std::vector<std::uint8_t> view;
+    for (std::uint32_t a = start; a < start + len; ++a)
+        view.push_back(mem.load8(lane, a, 8, false));
+    return view;
+}
+
+} // namespace
+
+TEST(DataMemory, LaneClearMatchesFullScanReference)
+{
+    // Two versioned regions, one write-through and one lane-private;
+    // lanes 1-3 store into scattered cells of both.
+    DataMemory mem(inc::util::Rng(9), 4096);
+    mem.addVersionedRegion(1024, 256);
+    mem.addVersionedRegion(2048, 512, /*write_through=*/false);
+    const std::array<std::pair<std::uint32_t, std::uint32_t>, 2> regions{
+        {{1024, 256}, {2048, 512}}};
+
+    // Reference: each lane's last private value per address.
+    std::array<std::map<std::uint32_t, std::uint8_t>, 4> written;
+    inc::util::Rng rng(5);
+    for (int n = 0; n < 400; ++n) {
+        const int lane = 1 + static_cast<int>(rng.nextBounded(3));
+        const auto &[start, len] = regions[rng.nextBounded(2)];
+        const auto addr =
+            start + static_cast<std::uint32_t>(rng.nextBounded(len));
+        const auto value = static_cast<std::uint8_t>(rng.next());
+        const int bits = 1 + static_cast<int>(rng.nextBounded(8));
+        mem.store8(lane, addr, value, bits, false);
+        written[static_cast<size_t>(lane)][addr] = value;
+    }
+    ASSERT_FALSE(written[2].empty());
+
+    const auto main_before = mem.snapshot(0, 4096);
+    mem.clearLaneVersions(2);
+    EXPECT_EQ(mem.snapshot(0, 4096), main_before);
+    written[2].clear();
+
+    // The full-scan reference: a lane reads its own last store where it
+    // has one and main everywhere else.
+    const auto expectReference = [&] {
+        for (const auto &[start, len] : regions) {
+            for (int lane = 1; lane < 4; ++lane) {
+                const auto &mine = written[static_cast<size_t>(lane)];
+                for (std::uint32_t a = start; a < start + len; ++a) {
+                    const auto it = mine.find(a);
+                    const std::uint8_t want =
+                        it != mine.end() ? it->second : mem.hostRead8(a);
+                    ASSERT_EQ(mem.load8(lane, a, 8, false), want)
+                        << "lane " << lane << " addr " << a;
+                }
+            }
+        }
+    };
+    expectReference();
+
+    // A second clear of the same lane finds nothing left to clear.
+    std::vector<std::vector<std::uint8_t>> views;
+    for (const auto &[start, len] : regions) {
+        for (int lane = 0; lane < 4; ++lane)
+            views.push_back(laneView(mem, lane, start, len));
+    }
+    mem.clearLaneVersions(2);
+    std::size_t v = 0;
+    for (const auto &[start, len] : regions) {
+        for (int lane = 0; lane < 4; ++lane)
+            EXPECT_EQ(laneView(mem, lane, start, len), views[v++]);
+    }
+    expectReference();
+
+    // The cleared lane writes again: its new stores are tracked anew.
+    mem.store8(2, 1300, 0x5A, 8, false);
+    mem.store8(2, 2049, 0xA5, 8, false);
+    EXPECT_EQ(mem.load8(2, 2049, 8, false), 0xA5);
+    mem.clearLaneVersions(2);
+    EXPECT_EQ(mem.load8(2, 2049, 8, false), mem.hostRead8(2049));
+    EXPECT_EQ(mem.load8(2, 1300, 8, false), mem.hostRead8(1300));
+}
+
+TEST(DataMemory, ReopenedArenaMemoryClearsPersistedLaneVersions)
+{
+    namespace fs = std::filesystem;
+    const std::string dir =
+        (fs::temp_directory_path() /
+         ("inc-memory-test-" + std::to_string(::getpid())))
+            .string();
+    fs::remove_all(dir);
+    {
+        auto store = inc::arena::Arena::open(dir);
+        inc::arena::ArenaBackend backend(store.get());
+        DataMemory mem(inc::util::Rng(9), 4096, &backend);
+        mem.addVersionedRegion(1024, 256, /*write_through=*/false);
+        mem.store8(2, 1100, 77, 4, false);
+        mem.store8(2, 1270, 78, 4, false);
+        mem.store8(1, 1100, 11, 4, false);
+    }
+    {
+        // A new owner of the same blocks: the written bits come back
+        // with the cells, though this object never saw them stored.
+        auto store = inc::arena::Arena::open(dir);
+        inc::arena::ArenaBackend backend(store.get());
+        DataMemory mem(inc::util::Rng(9), 4096, &backend);
+        mem.addVersionedRegion(1024, 256, /*write_through=*/false);
+        ASSERT_EQ(mem.load8(2, 1100, 8, false), 77);
+        ASSERT_EQ(mem.load8(2, 1270, 8, false), 78);
+        mem.clearLaneVersions(2);
+        EXPECT_EQ(mem.load8(2, 1100, 8, false), mem.hostRead8(1100));
+        EXPECT_EQ(mem.load8(2, 1270, 8, false), mem.hostRead8(1270));
+        EXPECT_EQ(mem.load8(1, 1100, 8, false), 11);
+    }
+    fs::remove_all(dir);
 }
 
 TEST(DataMemory, AssembleHigherBits)

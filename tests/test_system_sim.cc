@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/result_io.h"
 #include "sim/system_sim.h"
 #include "trace/trace_generator.h"
 
@@ -197,4 +198,54 @@ TEST(SystemSim, WaitingForFramesWhenProcessingOutpacesSensor)
     const auto r = s.run();
     EXPECT_GT(r.controller.frames_completed, 3u);
     EXPECT_GT(r.on_time_fraction, 0.9);
+}
+
+TEST(SystemSim, SampleLoopSerializesEqualToRun)
+{
+    // A stepSample() loop plus finalize() is run(): SimBatch and
+    // traced benchmark runs rely on it. One config that never holds an
+    // incidental lane (the single-lane body) and one that does.
+    const auto trace = testTrace(2, 6000);
+    sim::SimConfig incidental = incidentalConfig();
+    incidental.controller.auto_recompute_times = 1;
+    for (const bool multi_lane : {false, true}) {
+        const sim::SimConfig cfg =
+            multi_lane ? incidental : baselineConfig();
+        sim::SystemSimulator whole(kernels::makeKernel("median"), &trace,
+                                   cfg);
+        const sim::SimResult want = whole.run();
+        sim::SystemSimulator stepped(kernels::makeKernel("median"), &trace,
+                                     cfg);
+        while (stepped.stepSample()) {
+        }
+        EXPECT_EQ(sim::serializeResult(stepped.finalize()),
+                  sim::serializeResult(want));
+        EXPECT_GT(want.backups, 0u);
+        // Lanes other than 0 committed work only in the multi-lane run.
+        EXPECT_EQ(want.forward_progress > want.main_instructions,
+                  multi_lane);
+    }
+}
+
+TEST(SystemSimDeathTest, SingleLaneRunPanicsWhenALaneBecomesActive)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A config without adoption, history spawns, full SIMD or
+    // auto-recompute runs the single-lane body; a caller's recompute
+    // request still spawns a lane at the first resume point.
+    std::vector<double> flat(4000, 1500.0);
+    const trace::PowerTrace trace(std::move(flat), "flat");
+    const auto runWithRequest = [&trace](nvp::ExecEngine engine) {
+        sim::SimConfig cfg = baselineConfig();
+        cfg.exec_engine = engine;
+        sim::SystemSimulator s(kernels::makeKernel("sobel"), &trace, cfg);
+        s.controller().requestRecompute(0, 2, 1);
+        return s.run();
+    };
+    EXPECT_DEATH(runWithRequest(nvp::ExecEngine::predecoded),
+                 "lane 1 became active in a single-lane run");
+    // The reference engine keeps the general body, which runs the lane.
+    EXPECT_GT(runWithRequest(nvp::ExecEngine::reference)
+                  .controller.recompute_spawns,
+              0u);
 }
